@@ -249,8 +249,14 @@ judge(CaseReport* rc, const std::vector<Observed>& obs)
     if (rc->violation())
         return;
 
+    // A run stopped by its event or wall budget also exits non-zero;
+    // that is a budget overrun, classified as inconclusive below.
+    auto overBudget = [](const Observed& o) {
+        return o.ranSim &&
+               (o.outcome == "event_limit" || o.outcome == "timeout");
+    };
     for (const Observed& o : obs) {
-        if (o.exitCode != 0) {
+        if (o.exitCode != 0 && !overBudget(o)) {
             flag(rc, "compile-exit",
                  o.label + ": exit " + std::to_string(o.exitCode) +
                      " on a generated program");
@@ -260,8 +266,7 @@ judge(CaseReport* rc, const std::vector<Observed>& obs)
 
     // Oracle A: engine/level/fabric agreement on semantics.
     for (const Observed& o : obs) {
-        if (o.ranSim &&
-            (o.outcome == "event_limit" || o.outcome == "timeout")) {
+        if (overBudget(o)) {
             rc->inconclusive = true;
             return; // budgets are engine-specific; A is meaningless
         }

@@ -578,209 +578,32 @@ DataflowSimulator::deliver(Activation* a, int node, int slot,
     // queue entirely — the cascade is a confluent max-plus replay, so
     // absorbing the item immediately (even with a future timestamp)
     // computes the same values and completion times the queue walk
-    // would, without a calendar round-trip per boundary input.
+    // would, without a queue round-trip per boundary input.
+    item.time = when;
     if (haveRegions_ &&
         a->gi->hot[node].kind == kRegionKind) {
-        item.time = when;
         fireRegion(a, slot - a->gi->hot[node].fifoBase, item);
         return;
     }
-    Event e;
-    e.seq = seq_++;
-    e.act = a;
-    e.node = node;
-    e.slot = slot;
-    e.item = item;
     // Injected fault: silently lose this delivery.  Keyed on the
-    // deterministic sequence number, so the same spec drops the same
+    // deterministic delivery count, so the same spec drops the same
     // logical event on every run.
-    if (faults_ && faults_->dropEvent(e.seq)) {
+    const uint64_t seq = seq_++;
+    if (faults_ && faults_->dropEvent(seq)) {
         droppedEvents_++;
         return;
     }
     a->inflight++;
-    if (when <= now_) {
+    const Event e{a, node, slot, item};
+    if (when <= radix_.now()) {
         // Zero-latency delivery (the common case: wires between
         // combinational operators) — straight onto the worklist.
         bucketOps_++;
         ready_.push_back(e);
-    } else if (when - now_ <= kWheelSize) {
-        bucketOps_++;
-        const uint64_t s = when & (kWheelSize - 1);
-        wheel_[s].push_back(e);
-        wheelBits_[s >> 6] |= 1ull << (s & 63);
-        wheelCount_++;
     } else {
-        // Coarse wheels: level j holds events whose band index
-        // (when >> kWheelBits*(j+1)) is within kWheelSize of now_'s —
-        // at any moment each band residue class maps to one absolute
-        // band, so insertion is a single push (see advanceTime).
-        int j = 0;
-        for (; j < kCoarseLevels; j++) {
-            const uint64_t shift = kWheelBits * (j + 1);
-            if ((when >> shift) - (now_ >> shift) < kWheelSize)
-                break;
-        }
-        if (j < kCoarseLevels) {
-            bucketOps_++;
-            const uint64_t shift = kWheelBits * (j + 1);
-            const uint64_t s = (when >> shift) & (kWheelSize - 1);
-            coarse_[j][s].push_back({when, e});
-            coarseBits_[j][s >> 6] |= 1ull << (s & 63);
-            coarseCount_[j]++;
-        } else {
-            heapOps_++;
-            overflow_.push({when, e});
-        }
+        heapOps_++;
+        radix_.push(when, e);
     }
-}
-
-bool
-DataflowSimulator::advanceTime()
-{
-    // Candidate dispatch time from the fine wheel and the heap, then
-    // pull down any coarse band that could precede it; repeat until
-    // the candidate is provably the global minimum.  Bands migrate
-    // one level at a time, so an event costs at most kCoarseLevels+1
-    // O(1) pushes over its queue lifetime.
-    for (;;) {
-        uint64_t next = 0;
-        bool have = false;
-        if (wheelCount_ > 0) {
-            // Nearest occupied fine slot: circular ctz scan over the
-            // occupancy words, starting at now_ + 1.
-            const uint64_t s = (now_ + 1) & (kWheelSize - 1);
-            uint64_t dist;  // occupied-slot distance from s
-            uint64_t w = s >> 6;
-            uint64_t bits = wheelBits_[w] >> (s & 63);
-            if (bits) {
-                dist = static_cast<uint64_t>(__builtin_ctzll(bits));
-            } else {
-                dist = 64 - (s & 63);
-                w = (w + 1) & (kWheelWords - 1);
-                while (!(bits = wheelBits_[w])) {
-                    dist += 64;
-                    w = (w + 1) & (kWheelWords - 1);
-                }
-                dist += static_cast<uint64_t>(__builtin_ctzll(bits));
-            }
-            next = now_ + 1 + dist;
-            have = true;
-        }
-        if (!overflow_.empty() &&
-            (!have || overflow_.top().time < next)) {
-            next = overflow_.top().time;
-            have = true;
-        }
-        // Nearest pending coarse band (by band start) across levels.
-        // Pending band indices live in [cStart, cStart + 255] with
-        // cStart = (now_+1) >> shift: when now_+1 is band-aligned (as
-        // after a band-edge jump below), now_'s own band can hold no
-        // future time and the window starts one past it — scanning
-        // from now_'s residue would misresolve a wrapped slot to a
-        // band 256 too low and leap the clock over pending events.
-        int bj = -1;
-        uint64_t bandIdx = 0, bandLo = 0;
-        for (int j = 0; j < kCoarseLevels; j++) {
-            if (coarseCount_[j] == 0)
-                continue;
-            const uint64_t shift = kWheelBits * (j + 1);
-            const uint64_t cStart = (now_ + 1) >> shift;
-            const uint64_t s = cStart & (kWheelSize - 1);
-            uint64_t dist;
-            uint64_t w = s >> 6;
-            uint64_t bits = coarseBits_[j][w] >> (s & 63);
-            if (bits) {
-                dist = static_cast<uint64_t>(__builtin_ctzll(bits));
-            } else {
-                dist = 64 - (s & 63);
-                w = (w + 1) & (kWheelWords - 1);
-                while (!(bits = coarseBits_[j][w])) {
-                    dist += 64;
-                    w = (w + 1) & (kWheelWords - 1);
-                }
-                dist += static_cast<uint64_t>(__builtin_ctzll(bits));
-            }
-            const uint64_t lo = (cStart + dist) << shift;
-            if (bj < 0 || lo < bandLo) {
-                bj = j;
-                bandIdx = cStart + dist;
-                bandLo = lo;
-            }
-        }
-        if (bj < 0 || (have && next < bandLo)) {
-            if (!have)
-                return false;  // nothing pending anywhere
-            now_ = next;
-            break;
-        }
-        // The band might hold the earliest event.  Nothing pends in
-        // (now_, bandLo): the fine/heap candidate is >= bandLo and
-        // every other band starts later — so jumping now_ to the band
-        // edge skips only idle cycles, and re-establishes the lower
-        // level's residue-window invariant for the migrated times.
-        if (bandLo > now_ + 1)
-            now_ = bandLo - 1;
-        const uint64_t bs = bandIdx & (kWheelSize - 1);
-        std::vector<TimedEvent>& band = coarse_[bj][bs];
-        const bool dirty = coarseDirty_[bj][bs] != 0;
-        coarseDirty_[bj][bs] = 0;
-        coarseBits_[bj][bs >> 6] &= ~(1ull << (bs & 63));
-        coarseCount_[bj] -= band.size();
-        if (bj == 0) {
-            for (const TimedEvent& te : band) {
-                const uint64_t fs = te.time & (kWheelSize - 1);
-                // An occupied target means same-time events whose
-                // seqs interleave with ours: flag for a drain sort.
-                if (dirty || !wheel_[fs].empty())
-                    wheelDirty_[fs] = 1;
-                wheel_[fs].push_back(te.e);
-                wheelBits_[fs >> 6] |= 1ull << (fs & 63);
-            }
-            wheelCount_ += band.size();
-        } else {
-            const uint64_t lshift = kWheelBits * bj;
-            for (const TimedEvent& te : band) {
-                const uint64_t fs =
-                    (te.time >> lshift) & (kWheelSize - 1);
-                if (dirty || !coarse_[bj - 1][fs].empty())
-                    coarseDirty_[bj - 1][fs] = 1;
-                coarse_[bj - 1][fs].push_back(te);
-                coarseBits_[bj - 1][fs >> 6] |= 1ull << (fs & 63);
-            }
-            coarseCount_[bj - 1] += band.size();
-        }
-        band.clear();
-    }
-
-    // Drain the slot for now_.  Every event in a slot shares one
-    // timestamp: insertions only cover (now_, now_ + kWheelSize], a
-    // window that holds each residue class exactly once.
-    const uint64_t ds = now_ & (kWheelSize - 1);
-    std::vector<Event>& slot = wheel_[ds];
-    wheelBits_[ds >> 6] &= ~(1ull << (ds & 63));
-    size_t fromWheel = slot.size();
-    wheelCount_ -= fromWheel;
-    const bool dirtySlot = wheelDirty_[ds] != 0 && fromWheel > 1;
-    wheelDirty_[ds] = 0;
-    bool merged = false;
-    while (!overflow_.empty() && overflow_.top().time == now_) {
-        slot.push_back(overflow_.top().e);
-        overflow_.pop();
-        merged = true;
-    }
-    // Direct inserts and heap pops are each seq-sorted already; a mix
-    // of both — or a slot flagged by band migration — needs a re-sort
-    // to restore global (time, seq) order.
-    if (dirtySlot || (merged && fromWheel > 0))
-        std::sort(slot.begin(), slot.end(),
-                  [](const Event& x, const Event& y) {
-                      return x.seq < y.seq;
-                  });
-    // The caller drained ready_, so adopt the slot's buffer wholesale;
-    // the slot inherits the empty one for future inserts.
-    std::swap(ready_, slot);
-    return true;
 }
 
 void
@@ -1584,7 +1407,7 @@ DataflowSimulator::cascadeRegion(Activation* a)
     regionOpsInlined_ += inlined;
     if (tracer_ && tracer_->enabled() && inlined)
         tracer_->completeEvent(
-            gi->g->name, "sim.region", now_, 0,
+            gi->g->name, "sim.region", radix_.now(), 0,
             {{"region", static_cast<int64_t>(0)},
              {"ops", static_cast<int64_t>(inlined)}},
             kTraceCyclePid);
@@ -1637,7 +1460,7 @@ DataflowSimulator::buildDeadlockReport() const
     // of the frontier and are omitted — reporting them would bury the
     // root cause.
     DeadlockReport rep;
-    rep.stallTime = now_;
+    rep.stallTime = radix_.now();
     rep.lsqOccupancy = memsys_.lsqOccupancy();
     constexpr size_t kMaxStuck = 64;  // bound the dump on huge graphs
     for (const auto& act : activations_) {
@@ -1751,20 +1574,7 @@ DataflowSimulator::run(const std::string& name,
     // Fresh dynamic state (memory and caches persist across runs).
     ready_.clear();
     readyHead_ = 0;
-    for (std::vector<Event>& slot : wheel_)
-        slot.clear();
-    wheelBits_.fill(0);
-    wheelCount_ = 0;
-    wheelDirty_.fill(0);
-    for (int j = 0; j < kCoarseLevels; j++) {
-        for (std::vector<TimedEvent>& band : coarse_[j])
-            band.clear();
-        coarseBits_[j].fill(0);
-        coarseDirty_[j].fill(0);
-        coarseCount_[j] = 0;
-    }
-    overflow_ = {};
-    now_ = 0;
+    radix_.clear();
     seq_ = 0;
     releaseActivations();
     nextActId_ = 0;
@@ -1819,12 +1629,12 @@ DataflowSimulator::run(const std::string& name,
         if (readyHead_ == ready_.size()) {
             // The worklist drained: run the region cascades all of
             // this cycle's absorbed deliveries seeded (their
-            // emissions may refill the worklist at now_).
+            // emissions may refill the worklist at this cycle).
             if (flushRegions())
                 continue;
             ready_.clear();
             readyHead_ = 0;
-            if (!advanceTime())
+            if (!radix_.popMin(ready_))
                 break;
             continue;
         }
@@ -1851,7 +1661,7 @@ DataflowSimulator::run(const std::string& name,
         if (q.empty())
             a->readyCnt[e.node]++;
         q.push_back(e.item);
-        tryFire(a, e.node, now_);
+        tryFire(a, e.node, radix_.now());
         // Recycle as soon as nothing can target this activation again:
         // it returned, no queued events reference it, and no child can
         // still deliver a result into it.
@@ -1859,7 +1669,7 @@ DataflowSimulator::run(const std::string& name,
             a->liveChildren == 0 && a->regDirty == 0)
             recycle(a);
         if (tracing && (events_ & 0xFFF) == 0)
-            sampleQueueCounters(now_);
+            sampleQueueCounters(radix_.now());
     }
 
     if (!done_ && runOutcome_ == SimOutcome::Ok) {
@@ -1869,19 +1679,20 @@ DataflowSimulator::run(const std::string& name,
                 trace(1, "starved " + s.str());
         failRun(SimOutcome::Deadlock,
                 "dataflow simulation deadlocked in '" + name +
-                    "' at cycle " + std::to_string(now_) + " (" +
+                    "' at cycle " + std::to_string(radix_.now()) +
+                    " (" +
                     std::to_string(deadlock.stuck.size()) +
                     " starved nodes)");
     }
 
     if (tracing)
-        sampleQueueCounters(done_ ? rootDoneTime_ : now_);
+        sampleQueueCounters(done_ ? rootDoneTime_ : radix_.now());
 
     // Stats are filled on every outcome — a degraded run still reports
     // everything it observed up to the stall.
     SimResult r;
     r.returnValue = rootResult_;
-    r.cycles = done_ ? rootDoneTime_ : now_;
+    r.cycles = done_ ? rootDoneTime_ : radix_.now();
     r.outcome = runOutcome_;
     r.error = runError_;
     r.deadlock = std::move(deadlock);

@@ -16,9 +16,8 @@
  * The engine is built for throughput (see docs/SIMULATOR.md):
  *
  *   * Events are dispatched through a same-timestamp ready worklist
- *     plus a time-bucketed calendar wheel; only deliveries scheduled
- *     further than the wheel horizon touch a binary heap.  Ordering is
- *     bit-exact with a global (time, seq) priority queue.
+ *     plus a radix heap (radix_heap.h) for every later delivery.
+ *     Ordering is bit-exact with a global (time, seq) priority queue.
  *   * Per-port FIFOs store their first two items inline (most ports
  *     hold at most one) and spill to a geometric ring buffer.
  *   * Per-graph metadata is flattened into CSR-style arrays (fifo
@@ -32,12 +31,10 @@
 #ifndef CASH_SIM_DATAFLOW_SIM_H
 #define CASH_SIM_DATAFLOW_SIM_H
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -46,6 +43,7 @@
 #include "pegasus/graph.h"
 #include "sim/memory_image.h"
 #include "sim/memory_system.h"
+#include "sim/radix_heap.h"
 #include "sim/region_compiler.h"
 #include "support/fault_injection.h"
 #include "support/stats.h"
@@ -57,7 +55,7 @@ namespace cash {
  * engine"):
  *
  *   * **Event** — every operator firing is a discrete event on the
- *     calendar queue.
+ *     event queue.
  *   * **Macro** — each graph's pure interior (including order-robust
  *     mu-merges) is precompiled into a super-operator op-tape
  *     (region_compiler.h) evaluated as a streaming cascade over
@@ -66,9 +64,9 @@ namespace cash {
  *     stay event-driven.  Exactness contract: return values and
  *     firing counts are always byte-identical to Event, cycle counts
  *     are byte-identical under perfect memory and may drift by a
- *     small bounded amount (4 cycles + 1%) under realistic memory,
- *     where collapsing within-cycle dispatch order can change
- *     same-cycle arbitration in the memory hierarchy.
+ *     bounded amount under realistic memory, where collapsing
+ *     within-cycle dispatch order can change same-cycle arbitration
+ *     (docs/SIMULATOR.md, "Exactness contract").
  */
 enum class SimEngine
 {
@@ -323,10 +321,9 @@ class DataflowSimulator
     {
         uint32_t value = 0;
         bool eos = false;
-        /** Arrival cycle, stamped when the delivery is consumed.  Only
-         *  region pseudo-nodes read it: the macro engine's analytic
-         *  timing needs each input's k-th arrival time, which the
-         *  event engine keeps implicit in queue position. */
+        /** Delivery cycle, stamped by deliver(): the radix heap's key,
+         *  and the k-th arrival time a region pseudo-node's analytic
+         *  (max-plus) timing needs. */
         uint64_t time = 0;
     };
 
@@ -534,25 +531,18 @@ class DataflowSimulator
         bool pooled = false;
     };
 
-    /** A queued delivery.  Time is implicit: ready_ events are at
-     *  now_, each wheel slot holds a single timestamp, and overflow
-     *  events carry theirs in TimedEvent. */
+    /** A queued delivery, due at item.time.  Queues keep events in
+     *  delivery order, so no sequence number is stored. */
     struct Event
     {
-        uint64_t seq = 0;
         Activation* act = nullptr;
         int32_t node = -1;
         int32_t slot = -1;  ///< Flat fifo slot of the target input.
         Item item;
     };
-    struct TimedEvent
+    struct EventTime
     {
-        uint64_t time = 0;
-        Event e;
-        bool operator>(const TimedEvent& o) const
-        {
-            return time != o.time ? time > o.time : e.seq > o.e.seq;
-        }
+        uint64_t operator()(const Event& e) const { return e.item.time; }
     };
 
     void buildIndex(const Graph* g);
@@ -604,8 +594,6 @@ class DataflowSimulator
     void recycle(Activation* a);
     /** Drop all activation storage (end of run / fresh run). */
     void releaseActivations();
-    /** Advance now_ to the next pending timestamp; false when idle. */
-    bool advanceTime();
     void sampleQueueCounters(uint64_t now);
     /** Record a degraded outcome; the run loop stops at its next
      *  iteration and run() returns it in SimResult. */
@@ -673,56 +661,13 @@ class DataflowSimulator
     std::vector<uint32_t> regVal_;
     std::vector<uint64_t> regTim_;
 
-    // --- event queue: ready worklist + hierarchical calendar wheel ---
-    /** Fine-wheel horizon in cycles; must be a power of two.  Covers
-     *  the common operator/cache latencies (ALU 1, Mul 3, Div/Rem 20,
-     *  L1/L2 hits, TLB walk).  Events beyond it land in the coarse
-     *  wheels: the macro engine's cascade emissions carry analytic
-     *  max-plus timestamps that run arbitrarily far ahead of the
-     *  dispatch clock (an interior loop replays whole executions from
-     *  one boundary delivery), and funneling those residuals through a
-     *  comparison heap dominated the macro engine's run time. */
-    static constexpr uint64_t kWheelBits = 8;
-    static constexpr uint64_t kWheelSize = 1ull << kWheelBits;
-    static constexpr uint64_t kWheelWords = kWheelSize / 64;
-    /** Coarse levels above the fine wheel.  Level j has kWheelSize
-     *  bands of 2^(kWheelBits*(j+1)) cycles each, so three levels
-     *  push the heap threshold past 2^32 cycles; a band migrates down
-     *  one level when the dispatch clock nears it, giving O(levels)
-     *  pushes per event instead of O(log n) heap percolation. */
-    static constexpr int kCoarseLevels = 3;
-    /** Events at exactly now_, in (time, seq) order. */
+    // --- event queue: ready worklist + radix heap --------------------
+    /** Events at radix_.now(), in delivery order. */
     std::vector<Event> ready_;
     size_t readyHead_ = 0;
-    /** wheel_[t & (kWheelSize-1)]: events at time t, for t in
-     *  (now_, now_ + kWheelSize]; each slot holds a single timestamp
-     *  (see advanceTime()). */
-    std::array<std::vector<Event>, kWheelSize> wheel_;
-    /** Slot occupancy bits (bit s of word s/64 = slot s non-empty):
-     *  advanceTime() finds the nearest pending slot with a circular
-     *  count-trailing-zeros scan instead of probing slot by slot. */
-    std::array<uint64_t, kWheelWords> wheelBits_{};
-    uint64_t wheelCount_ = 0;
-    /** Fine slots that may hold out-of-seq events: a migrated band
-     *  can append an older (lower-seq) event behind a directly
-     *  inserted one at the same timestamp, so the drain re-sorts
-     *  flagged slots to restore global (time, seq) order. */
-    std::array<uint8_t, kWheelSize> wheelDirty_{};
-    /** coarse_[j][(t >> kWheelBits*(j+1)) & (kWheelSize-1)]: events
-     *  of one band, in insertion order (seq order unless dirty). */
-    std::array<std::array<std::vector<TimedEvent>, kWheelSize>,
-               kCoarseLevels>
-        coarse_;
-    std::array<std::array<uint64_t, kWheelWords>, kCoarseLevels>
-        coarseBits_{};
-    std::array<uint64_t, kCoarseLevels> coarseCount_{};
-    std::array<std::array<uint8_t, kWheelSize>, kCoarseLevels>
-        coarseDirty_{};
-    /** Events beyond the coarsest horizon (vanishingly rare). */
-    std::priority_queue<TimedEvent, std::vector<TimedEvent>,
-                        std::greater<TimedEvent>>
-        overflow_;
-    uint64_t now_ = 0;
+    /** Later events; its clock is the simulation clock. */
+    RadixHeap<Event, EventTime> radix_;
+    /** Deliveries made this run; sim.drop-event faults key on it. */
     uint64_t seq_ = 0;
 
     std::vector<std::unique_ptr<Activation>> activations_;
@@ -756,8 +701,8 @@ class DataflowSimulator
     uint64_t dynStores_ = 0;
     uint64_t nullified_ = 0;  ///< Pred-false memory ops.
     uint64_t callsMade_ = 0;
-    uint64_t bucketOps_ = 0;  ///< Deliveries via worklist/wheel.
-    uint64_t heapOps_ = 0;    ///< Deliveries via the overflow heap.
+    uint64_t bucketOps_ = 0;  ///< Same-cycle worklist deliveries.
+    uint64_t heapOps_ = 0;    ///< Deliveries via the radix heap.
     uint64_t actSpawned_ = 0;
     uint64_t actRecycled_ = 0;
     uint64_t liveActs_ = 0;

@@ -5,11 +5,11 @@
  * return values and firing totals at every optimization level, and
  * the return value must match the golden interpreter.
  *
- * The simulator's event queue is a calendar wheel plus a ready
- * worklist plus an overflow heap (see docs/SIMULATOR.md); this suite
- * exists to catch any ordering divergence between those paths, which
- * would silently change reported cycle counts (the quantity every
- * figure in the paper's evaluation is built from).
+ * The simulator's event queue is a ready worklist plus a radix heap
+ * (see docs/SIMULATOR.md); this suite exists to catch any ordering
+ * divergence between those paths, which would silently change
+ * reported cycle counts (the quantity every figure in the paper's
+ * evaluation is built from).
  */
 #include <gtest/gtest.h>
 
